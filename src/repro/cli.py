@@ -49,9 +49,13 @@ from repro.core.serialization import dump_result
 from repro.core.stats import condition_frequency_histogram, search_space_funnel
 from repro.datasets.registry import DATASETS, load
 from repro.rdf.model import Dataset, EncodedDataset
-from repro.rdf.ntriples import parse_ntriples_file, write_ntriples_file
+from repro.rdf.ntriples import (
+    NTriplesParseError,
+    parse_ntriples_file,
+    write_ntriples_file,
+)
 from repro.rdf.turtle import parse_turtle_file
-from repro.storage.snapshot import SNAPSHOT_SUFFIX, load_snapshot
+from repro.storage.snapshot import SNAPSHOT_SUFFIX, SnapshotError, load_snapshot
 
 
 def _load_input(
@@ -1126,10 +1130,20 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    Malformed input (an N-Triples syntax error, a damaged snapshot) ends
+    the command with one ``rdfind: error: <file>: <problem>`` line on
+    stderr and exit code 2 instead of a traceback.
+    """
     args = build_parser().parse_args(argv)
     _apply_executor_flags(args)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (NTriplesParseError, SnapshotError) as error:
+        where = f"{error.path}: " if error.path else ""
+        print(f"rdfind: error: {where}{error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

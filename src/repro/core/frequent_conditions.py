@@ -178,6 +178,7 @@ def _columnar_unary_counts(
     elapsed = time.perf_counter() - start
     stage.records_in = [len(columns) * len(scope.condition_attrs)]
     stage.records_out = [len(counts)]
+    stage.wall_seconds = elapsed
     stage.partition_seconds = [elapsed / env.parallelism] * env.parallelism
     # The dataflow path's combiners hold one counter per distinct
     # condition; charge the same state to keep budget semantics honest.
@@ -232,6 +233,7 @@ def _columnar_binary_counts(
     elapsed = time.perf_counter() - start
     stage.records_in = [records_in]
     stage.records_out = [len(counts)]
+    stage.wall_seconds = elapsed
     stage.partition_seconds = [elapsed / env.parallelism] * env.parallelism
     stage.peak_state_cost = distinct
     return counts

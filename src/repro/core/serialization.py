@@ -19,6 +19,28 @@ Corruption surfaces as :class:`FrameCorruptionError` (checksum mismatch)
 and a short read as :class:`FrameTruncatedError`, so a reader can
 distinguish "bit rot" from "writer died mid-frame".
 
+Writing the document
+--------------------
+
+:func:`result_to_dict` is the dict API; :func:`dump_result` does not go
+through it.  The writer, :func:`result_json_chunks`, yields the document
+in blocks of rows, byte for byte what
+``json.dump(result_to_dict(r), indent=1, ensure_ascii=False)`` writes,
+without ever holding a dict tree or the whole document string:
+
+* each **distinct** capture is rendered once —
+  ``json.dumps(_capture_to_json(decode_capture(c)), indent=1)`` — and
+  re-indented to its depth with a plain ``"\n"`` replace (JSON escapes
+  every newline inside a string, so each ``"\n"`` in the fragment is
+  layout).  Results repeat captures heavily: 60k CIND rows on Countries
+  share about 2k captures;
+* each CIND row is a fixed template around its two cached fragments
+  and its integer support.
+
+The same writer serves the stream query
+(:meth:`repro.streaming.maintainer.StreamingRDFind.document_json`),
+which is how the streaming and batch documents stay byte-identical.
+
 Schema (version 1)::
 
     {
@@ -43,7 +65,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Tuple, Union
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
 from repro.core.cind import (
     CIND,
@@ -67,10 +90,13 @@ from repro.core.framing import (  # noqa: F401  (re-exported facade)
     read_frame,
     write_frame,
 )
-from repro.rdf.model import Attr
+from repro.rdf.model import Attr, TermDictionary
 
 FORMAT_NAME = "rdfind-result"
 FORMAT_VERSION = 1
+
+#: Rows joined into one yielded chunk of :func:`result_json_chunks`.
+ROWS_PER_CHUNK = 1024
 
 
 def _condition_to_json(condition: Condition) -> List[List[str]]:
@@ -142,10 +168,99 @@ def result_to_dict(result: DiscoveryResult) -> Dict:
     }
 
 
+def _fragment(payload: Union[Dict, List], depth: int) -> str:
+    """``payload`` as ``json.dumps(indent=1)`` renders it ``depth`` levels in."""
+    text = json.dumps(payload, ensure_ascii=False, indent=1)
+    return text.replace("\n", "\n" + " " * depth)
+
+
+def _list_chunks(rows: Iterable[str]) -> Iterator[str]:
+    """A top-level member's list of pre-rendered rows, in blocks."""
+    rows = iter(rows)
+    lead = "[\n"
+    while True:
+        block = list(islice(rows, ROWS_PER_CHUNK))
+        if not block:
+            break
+        yield lead + ",\n".join(block)
+        lead = ",\n"
+    yield "[]" if lead == "[\n" else "\n ]"
+
+
+def _cind_rows(
+    cinds: Iterable[SupportedCIND], dictionary: TermDictionary
+) -> Iterator[str]:
+    fragments: Dict[Capture, str] = {}
+    for sc in cinds:
+        dependent, referenced = sc.cind
+        dep = fragments.get(dependent)
+        if dep is None:
+            dep = fragments[dependent] = _fragment(
+                _capture_to_json(decode_capture(dependent, dictionary)), 3
+            )
+        ref = fragments.get(referenced)
+        if ref is None:
+            ref = fragments[referenced] = _fragment(
+                _capture_to_json(decode_capture(referenced, dictionary)), 3
+            )
+        yield (
+            f'  {{\n   "dep": {dep},\n   "ref": {ref},\n'
+            f'   "support": {sc.support}\n  }}'
+        )
+
+
+def _rule_rows(
+    rules: Iterable[SupportedAR], dictionary: TermDictionary
+) -> Iterator[str]:
+    for sa in rules:
+        lhs, rhs = (
+            _fragment(_condition_to_json(decode_condition(side, dictionary))[0], 3)
+            for side in sa.rule
+        )
+        yield (
+            f'  {{\n   "lhs": {lhs},\n   "rhs": {rhs},\n'
+            f'   "support": {sa.support}\n  }}'
+        )
+
+
+def result_json_chunks(
+    support_threshold: int,
+    variant: str,
+    cinds: Iterable[SupportedCIND],
+    rules: Iterable[SupportedAR],
+    dictionary: TermDictionary,
+) -> Iterator[str]:
+    """The result document as text chunks (see *Writing the document*).
+
+    Concatenated, the chunks equal ``json.dumps(document,
+    ensure_ascii=False, indent=1)`` of the :func:`result_to_dict`-shaped
+    document for these rows, in the order given.
+    """
+    yield (
+        f'{{\n "format": {json.dumps(FORMAT_NAME)},'
+        f'\n "version": {FORMAT_VERSION},'
+        f'\n "support_threshold": {json.dumps(support_threshold)},'
+        f'\n "variant": {json.dumps(variant, ensure_ascii=False)},'
+        f'\n "cinds": '
+    )
+    yield from _list_chunks(_cind_rows(cinds, dictionary))
+    yield ',\n "association_rules": '
+    yield from _list_chunks(_rule_rows(rules, dictionary))
+    yield "\n}"
+
+
 def dump_result(result: DiscoveryResult, path: Union[str, os.PathLike]) -> None:
-    """Write a discovery result as JSON."""
+    """Write a discovery result as JSON (streamed, see the module notes)."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result_to_dict(result), handle, ensure_ascii=False, indent=1)
+        handle.writelines(
+            result_json_chunks(
+                result.support_threshold,
+                result.config.variant_name,
+                result.cinds,
+                result.association_rules,
+                result.dictionary,
+            )
+        )
 
 
 def parse_result_dict(

@@ -27,7 +27,12 @@ from repro.rdf.model import Dataset, Triple
 
 
 class NTriplesParseError(ValueError):
-    """Raised when a line cannot be parsed as an N-Triples statement."""
+    """Raised when a line cannot be parsed as an N-Triples statement.
+
+    ``path`` names the file when the error left :func:`parse_ntriples_file`.
+    """
+
+    path: Optional[str] = None
 
     def __init__(self, message: str, line_number: int, line: str) -> None:
         super().__init__(f"line {line_number}: {message}: {line.strip()!r}")
@@ -244,7 +249,11 @@ def parse_ntriples(source: Union[str, IO[str], Iterable[str]]) -> Iterator[Tripl
 def parse_ntriples_file(path: Union[str, os.PathLike], name: str = "") -> Dataset:
     """Parse an N-Triples file into a :class:`Dataset`."""
     with open(path, "r", encoding="utf-8") as handle:
-        return Dataset(parse_ntriples(handle), name=name or str(path))
+        try:
+            return Dataset(parse_ntriples(handle), name=name or str(path))
+        except NTriplesParseError as error:
+            error.path = str(path)
+            raise
 
 
 def literal_parts(term: str) -> "tuple[str, Optional[str], Optional[str]]":

@@ -36,6 +36,7 @@ is *never* trusted: it logs a warning and falls back to re-parsing.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import mmap
@@ -85,7 +86,11 @@ class SnapshotError(ValueError):
 
     Callers with a source of truth (the original input) should catch
     this, warn, and re-parse — never use a partially-decoded snapshot.
+    ``path`` names the file when the error left :func:`load_snapshot`
+    or :func:`snapshot_info`.
     """
+
+    path: Optional[str] = None
 
 
 class SnapshotFormatError(SnapshotError):
@@ -336,11 +341,11 @@ def _read_layout(path: str):
     try:
         stream = open(path, "rb")
     except OSError as error:
-        raise SnapshotError(f"cannot open snapshot {path}: {error}") from error
+        raise SnapshotError(f"cannot open snapshot: {error}") from error
     with stream:
         view, keepalive = _map_file(stream)
     if len(view) < len(SNAPSHOT_MAGIC) or bytes(view[: len(SNAPSHOT_MAGIC)]) != SNAPSHOT_MAGIC:
-        raise SnapshotFormatError(f"{path} is not an RDFind snapshot (bad magic)")
+        raise SnapshotFormatError("not an RDFind snapshot (bad magic)")
     walker = _FrameWalker(view[len(SNAPSHOT_MAGIC) :])
     try:
         header = json.loads(bytes(walker.next_frame()).decode("utf-8"))
@@ -362,12 +367,28 @@ def _read_layout(path: str):
     return header, walker, view, keepalive
 
 
+def _tags_path(read: Callable) -> Callable:
+    """Stamp the snapshot path onto any :class:`SnapshotError` ``read`` raises."""
+
+    @functools.wraps(read)
+    def wrapper(path: str):
+        try:
+            return read(path)
+        except SnapshotError as error:
+            error.path = str(path)
+            raise
+
+    return wrapper
+
+
+@_tags_path
 def snapshot_info(path: str) -> dict:
     """The header of a snapshot file (cheap: magic + first frame only)."""
     header, _walker, _view, _keepalive = _read_layout(path)
     return header
 
 
+@_tags_path
 def load_snapshot(path: str) -> EncodedDataset:
     """Load a snapshot into an :class:`EncodedDataset`.
 

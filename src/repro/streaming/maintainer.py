@@ -28,29 +28,30 @@ Two query surfaces:
 * :meth:`pertinent_cinds` — the maintainer's native semantics (no
   AR-equivalence rewriting), validated against
   ``NaiveProfiler(..., prune_ar_equivalents=False)``;
-* :meth:`batch_result` / :meth:`result_document` — the *batch pipeline's*
+* :meth:`batch_result` / :meth:`document_json` — the *batch pipeline's*
   semantics, derived on demand: exact association rules from the
   maintained frequencies, AR-embedding binary captures filtered out of
-  the adjacency, and the document re-encoded through a fresh dictionary
-  in materialization order so it is **byte-identical** to
-  ``rdfind discover -o`` on the materialized dataset.  (The batch
-  pipeline bakes AR rewriting into its capture groups; here an AR can be
-  broken by a later delta, so the rewrite must stay at query time.)
+  the adjacency, and the rows sorted by the terms' first-appearance rank
+  in the live triples (the ids a cold encode would assign) so the
+  document is **byte-identical** to ``rdfind discover -o`` on the
+  materialized dataset.  (The batch pipeline bakes AR rewriting into its
+  capture groups; here an AR can be broken by a later delta, so the
+  rewrite must stay at query time.)
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.cind import (
+    CIND,
     AssociationRule,
     Capture,
     SupportedAR,
     SupportedCIND,
-    decode_capture,
-    decode_condition,
 )
 from repro.core.conditions import (
     BinaryCondition,
@@ -62,12 +63,7 @@ from repro.core.conditions import (
 )
 from repro.core.incremental import MaintenanceStats
 from repro.core.minimality import consolidate_pertinent
-from repro.core.serialization import (
-    FORMAT_NAME,
-    FORMAT_VERSION,
-    _capture_to_json,
-    _condition_to_json,
-)
+from repro.core.serialization import result_json_chunks
 from repro.rdf.model import (
     Dataset,
     EncodedDataset,
@@ -370,100 +366,69 @@ class StreamingRDFind:
                 filtered[dependent] = (kept, support)
         return consolidate_pertinent(filtered), rules
 
-    def result_document(self) -> Dict:
+    def document_json(self) -> str:
         """The batch-identical result document for the live dataset.
 
         Byte-for-byte what ``rdfind discover -o`` writes for the
         materialized dataset.  The streaming dictionary retains ids for
         terms only dead triples ever used, so its id order differs from
-        a cold batch encode; the document therefore re-encodes every
-        result through a fresh dictionary built in materialization order
-        and sorts with the batch keys in that id space.
+        a cold batch encode.  A cold encode numbers terms by first
+        appearance in the live triples, so the rows are sorted with the
+        batch keys over that first-appearance rank, then rendered with
+        the stream's own dictionary: it is one-to-one, so the strings
+        are the ones a fresh dictionary would give.
         """
         cinds, rules = self.batch_result()
-        fresh = TermDictionary()
-        decode = self.dictionary.decode
-        for s, p, o in self.store.live():
-            fresh.encode(decode(s))
-            fresh.encode(decode(p))
-            fresh.encode(decode(o))
+        first_seen = dict.fromkeys(chain.from_iterable(self.store.live()))
+        rank = dict(zip(first_seen, range(len(first_seen))))
 
-        def recode_condition(condition: Condition) -> Condition:
-            decoded = decode_condition(condition, self.dictionary)
-            if isinstance(decoded, UnaryCondition):
-                return UnaryCondition(
-                    decoded.attr, fresh.encode_existing(decoded.value)
-                )
+        def ranked_condition(condition: Condition) -> Condition:
+            if isinstance(condition, UnaryCondition):
+                return UnaryCondition(condition.attr, rank[condition.value])
             return BinaryCondition(
-                decoded.attr1,
-                fresh.encode_existing(decoded.value1),
-                decoded.attr2,
-                fresh.encode_existing(decoded.value2),
+                condition.attr1,
+                rank[condition.value1],
+                condition.attr2,
+                rank[condition.value2],
             )
 
-        def recode_capture(capture: Capture) -> Capture:
-            return Capture(capture.attr, recode_condition(capture.condition))
+        ranked: Dict[Capture, Capture] = {}
 
-        recoded_cinds = sorted(
-            (
-                SupportedCIND(
-                    type(sc.cind)(
-                        recode_capture(sc.cind.dependent),
-                        recode_capture(sc.cind.referenced),
-                    ),
-                    sc.support,
+        def ranked_capture(capture: Capture) -> Capture:
+            result = ranked.get(capture)
+            if result is None:
+                result = ranked[capture] = Capture(
+                    capture.attr, ranked_condition(capture.condition)
                 )
-                for sc in cinds
-            ),
-            key=lambda sc: (-sc.support, sc.cind),
-        )
-        recoded_rules = sorted(
-            (
-                SupportedAR(
-                    AssociationRule(
-                        recode_condition(sar.rule.lhs),
-                        recode_condition(sar.rule.rhs),
-                    ),
-                    sar.support,
-                )
-                for sar in rules
-            ),
-            key=lambda sar: (-sar.support, sar.rule),
-        )
-        return {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "support_threshold": self.h,
-            "variant": BATCH_VARIANT,
-            "cinds": [
-                {
-                    "dep": _capture_to_json(
-                        decode_capture(sc.cind.dependent, fresh)
-                    ),
-                    "ref": _capture_to_json(
-                        decode_capture(sc.cind.referenced, fresh)
-                    ),
-                    "support": sc.support,
-                }
-                for sc in recoded_cinds
-            ],
-            "association_rules": [
-                {
-                    "lhs": _condition_to_json(
-                        decode_condition(sar.rule.lhs, fresh)
-                    )[0],
-                    "rhs": _condition_to_json(
-                        decode_condition(sar.rule.rhs, fresh)
-                    )[0],
-                    "support": sar.support,
-                }
-                for sar in recoded_rules
-            ],
-        }
+            return result
 
-    def document_json(self) -> str:
-        """:meth:`result_document` serialized exactly like ``dump_result``."""
-        return json.dumps(self.result_document(), ensure_ascii=False, indent=1)
+        cinds.sort(
+            key=lambda sc: (
+                -sc.support,
+                CIND(
+                    ranked_capture(sc.cind.dependent),
+                    ranked_capture(sc.cind.referenced),
+                ),
+            )
+        )
+        rules.sort(
+            key=lambda sar: (
+                -sar.support,
+                AssociationRule(
+                    ranked_condition(sar.rule.lhs),
+                    ranked_condition(sar.rule.rhs),
+                ),
+            )
+        )
+        return "".join(
+            result_json_chunks(
+                self.h, BATCH_VARIANT, cinds, rules, self.dictionary
+            )
+        )
+
+    def result_document(self) -> Dict:
+        """:meth:`document_json` parsed: the ``result_to_dict`` shape."""
+        return json.loads(self.document_json())
 
     # ------------------------------------------------------------------
     # introspection

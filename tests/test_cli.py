@@ -133,3 +133,31 @@ class TestCli:
     def test_bad_scope_rejected(self):
         with pytest.raises(SystemExit):
             main(["discover", "dataset:Countries", "--scope", "bogus"])
+
+
+class TestMalformedInput:
+    """Typed input errors end the command with one stderr line, exit 2."""
+
+    def test_unterminated_literal(self, capsys, tmp_path):
+        path = tmp_path / "bad.nt"
+        path.write_text('<a> <b> <c> .\n<a> <b> "never closed .\n', encoding="utf-8")
+        assert main(["discover", str(path), "-s", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"rdfind: error: {path}: line 2: unterminated literal: "
+            "'<a> <b> \"never closed .'\n"
+        )
+
+    def test_corrupt_snapshot(self, capsys, tmp_path):
+        path = tmp_path / "bad.snap"
+        path.write_bytes(b"not a snapshot at all")
+        assert main(["discover", str(path), "-s", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"rdfind: error: {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_missing_snapshot_via_snapshot_info(self, capsys, tmp_path):
+        path = tmp_path / "absent.snap"
+        assert main(["snapshot", "info", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"rdfind: error: {path}: ")

@@ -155,3 +155,18 @@ class TestScopes:
             if count >= 2
         }
         assert result.unary_counts == expected
+
+
+class TestStageTimes:
+    def test_every_timed_stage_reports_wall_time(self):
+        """A stage with measured partition time also has a wall time."""
+        from repro.core.discovery import RDFind
+
+        result = RDFind().discover(random_rdf(41, n_triples=400).encode(), h=2)
+        timed = [
+            stage for stage in result.metrics.stages if any(stage.partition_seconds)
+        ]
+        assert {"fc/unary-columnar", "fc/binary-columnar"} <= {
+            stage.name for stage in timed
+        }
+        assert [stage.name for stage in timed if stage.wall_seconds <= 0] == []

@@ -3,16 +3,19 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.cind import decode_cind, decode_condition
-from repro.core.discovery import find_pertinent_cinds
+from repro.core.discovery import RDFind, find_pertinent_cinds
 from repro.core.serialization import (
     dump_result,
     load_result,
     parse_result_dict,
     result_to_dict,
 )
+from repro.rdf.model import Dataset
 from repro.sparql import QueryMinimizer, lubm_q2
+from repro.streaming import StreamSession
 from tests.conftest import random_rdf
 
 
@@ -84,3 +87,125 @@ class TestReuseInMinimizer:
         )
         report = minimizer.minimize(lubm_q2())
         assert len(report.minimized.patterns) == 3
+
+
+#: Terms that stress JSON string escaping and the writer's re-indenting:
+#: quotes, backslashes, embedded newlines and tabs, non-ASCII, U+2028.
+AWKWARD_TERMS = [
+    'say "hi"',
+    "back\\slash",
+    '"line one\nline two"',
+    "tab\there",
+    "\n",
+    "Zürich",
+    "東京",
+    "sep\u2028arator",
+    "rdf:type",
+    "x",
+]
+
+
+def dumped(result, tmp_path) -> str:
+    path = tmp_path / "result.json"
+    dump_result(result, path)
+    return path.read_text(encoding="utf-8")
+
+
+def oracle(result) -> str:
+    """What ``json.dump(result_to_dict(...), indent=1)`` writes."""
+    return json.dumps(result_to_dict(result), ensure_ascii=False, indent=1)
+
+
+class TestWriterIdentity:
+    """``dump_result`` streams exactly the bytes of the dict oracle."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.sampled_from(AWKWARD_TERMS) | st.text(max_size=4)] * 3),
+            min_size=1,
+            max_size=24,
+        ),
+        h=st.integers(min_value=1, max_value=3),
+    )
+    def test_generated_datasets(self, tmp_path, rows, h):
+        result = RDFind().discover(Dataset.from_tuples(rows).encode(), h=h)
+        assert dumped(result, tmp_path) == oracle(result)
+
+    def test_zero_cinds(self, tmp_path):
+        result = RDFind().discover(
+            Dataset.from_tuples([("a", "p", "b")]).encode(), h=2
+        )
+        assert result.cinds == [] and result.association_rules == []
+        text = dumped(result, tmp_path)
+        assert text == oracle(result)
+        assert '"cinds": [],' in text
+
+    def test_zero_association_rules(self, tmp_path, result):
+        assert result.cinds and result.association_rules == []
+        text = dumped(result, tmp_path)
+        assert text == oracle(result)
+        assert text.endswith('"association_rules": []\n}')
+
+    def test_binary_condition_captures(self, tmp_path, result):
+        assert any(
+            capture.is_binary for sc in result.cinds for capture in sc.cind
+        )
+        assert dumped(result, tmp_path) == oracle(result)
+
+    def test_association_rules(self, tmp_path, table1_encoded):
+        result = RDFind().discover(table1_encoded, h=2)
+        assert result.cinds and result.association_rules
+        assert dumped(result, tmp_path) == oracle(result)
+
+    def test_rows_spanning_several_chunks(self, tmp_path, monkeypatch, result):
+        from repro.core import serialization
+
+        monkeypatch.setattr(serialization, "ROWS_PER_CHUNK", 2)
+        assert len(result.cinds) > 4
+        assert dumped(result, tmp_path) == oracle(result)
+
+
+class TestStreamDocumentIdentity:
+    """The stream query writes the batch ``dump_result`` bytes."""
+
+    @staticmethod
+    def batch_bytes(session, tmp_path) -> str:
+        result = RDFind().discover(session.maintainer.materialize(), h=session.h)
+        text = dumped(result, tmp_path)
+        assert text == oracle(result)
+        return text
+
+    def test_remove_readd_and_reopen(self, tmp_path):
+        terms = AWKWARD_TERMS
+        rows = [
+            (terms[i % 10], terms[(3 * i) % 7], terms[(i + 4) % 10])
+            for i in range(40)
+        ] + [(f"s{i % 5}", "rdf:type", f"c{i % 3}") for i in range(30)]
+        directory = str(tmp_path / "state")
+        readd = rows[:25]
+        with StreamSession(directory, h=2, fsync=False) as session:
+            session.load_initial(rows)
+            assert session.document_json() == self.batch_bytes(session, tmp_path)
+            for triple in readd:
+                session.remove(*triple)
+            assert session.document_json() == self.batch_bytes(session, tmp_path)
+            for triple in readd:
+                session.add(*triple)
+            assert session.document_json() == self.batch_bytes(session, tmp_path)
+            session.compact()
+            for triple in rows[30:36]:
+                session.remove(*triple)
+            session.add(*rows[31])
+            session.changelog.sync()
+            expected = self.batch_bytes(session, tmp_path)
+            assert session.document_json() == expected
+        with StreamSession(directory, h=2, fsync=False) as session:
+            assert session.resumed_from_checkpoint
+            assert session.replayed_records == 7
+            assert session.document_json() == expected
+            assert session.result_document() == json.loads(expected)
