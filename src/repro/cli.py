@@ -47,6 +47,7 @@ from repro.core.conditions import ConditionScope
 from repro.core.discovery import DiscoveryResult, RDFind, RDFindConfig
 from repro.core.serialization import dump_result
 from repro.core.stats import condition_frequency_histogram, search_space_funnel
+from repro.dataflow.checkpoint import CheckpointError
 from repro.datasets.registry import DATASETS, load
 from repro.rdf.model import Dataset, EncodedDataset
 from repro.rdf.ntriples import (
@@ -54,8 +55,9 @@ from repro.rdf.ntriples import (
     parse_ntriples_file,
     write_ntriples_file,
 )
-from repro.rdf.turtle import parse_turtle_file
+from repro.rdf.turtle import TurtleParseError, parse_turtle_file
 from repro.storage.snapshot import SNAPSHOT_SUFFIX, SnapshotError, load_snapshot
+from repro.streaming.changelog import ChangeLogError
 
 
 def _load_input(
@@ -237,15 +239,6 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         help="per-task wall-clock bound under --executor process; a hung "
         "task becomes a retryable transient fault (default: no bound)",
     )
-    parser.add_argument(
-        "--planner", choices=("off", "static", "adaptive"), default=None,
-        help="cost-based stage planning: 'static' always picks the "
-        "vectorized batch kernels, 'adaptive' chooses per stage from "
-        "input sizes and calibrated costs (kernel vs record path, "
-        "combiner, shuffle plane, batch count); output is byte-identical "
-        "either way and decisions show up in the metrics summary "
-        "(default: off)",
-    )
 
 
 def _apply_executor_flags(args: argparse.Namespace) -> None:
@@ -255,8 +248,7 @@ def _apply_executor_flags(args: argparse.Namespace) -> None:
     RDFIND_FAULTS / RDFIND_MAX_RETRIES / RDFIND_OOM_RECOVERY /
     RDFIND_SHUFFLE / RDFIND_MEMORY_BUDGET_BYTES / RDFIND_SPILL_DIR /
     RDFIND_CHECKPOINT / RDFIND_CHECKPOINT_DIR / RDFIND_RESUME /
-    RDFIND_CRASH_POINT / RDFIND_TASK_TIMEOUT_SECONDS / RDFIND_PLANNER as
-    its defaults, so
+    RDFIND_CRASH_POINT / RDFIND_TASK_TIMEOUT_SECONDS as its defaults, so
     setting the environment here makes the choice reach every config the
     subcommands build internally (funnel, profile, rank, ...).
     """
@@ -290,8 +282,6 @@ def _apply_executor_flags(args: argparse.Namespace) -> None:
         os.environ["RDFIND_TASK_TIMEOUT_SECONDS"] = str(
             args.task_timeout_seconds
         )
-    if getattr(args, "planner", None):
-        os.environ["RDFIND_PLANNER"] = args.planner
 
 
 def _require_writable_dir(path: str, *, flag: str) -> None:
@@ -385,19 +375,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
             f"fault tolerance: {metrics.total_faults_injected} faults injected, "
             f"{metrics.total_retries} task retries, "
             f"{metrics.total_recovered_oom_splits} OOM splits recovered"
-        )
-    if metrics.planner != "off" and metrics.planner_decisions:
-        choices = sorted(
-            {
-                stage.planner_choice
-                for stage in metrics.stages
-                if stage.planner_choice
-            }
-        )
-        print(
-            f"planner: {metrics.planner}, "
-            f"{metrics.planner_decisions} stage decisions "
-            f"({', '.join(choices)})"
         )
     if metrics.checkpoint_bytes or metrics.resumed_stages:
         print(
@@ -1132,16 +1109,25 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point.
 
-    Malformed input (an N-Triples syntax error, a damaged snapshot) ends
-    the command with one ``rdfind: error: <file>: <problem>`` line on
-    stderr and exit code 2 instead of a traceback.
+    Malformed input (an N-Triples or Turtle syntax error, a damaged
+    snapshot or changelog, a checkpoint that is corrupt or belongs to
+    another job) ends the command with one
+    ``rdfind: error: [<file>: ]<problem>`` line on stderr and exit code 2
+    instead of a traceback.
     """
     args = build_parser().parse_args(argv)
     _apply_executor_flags(args)
     try:
         return _COMMANDS[args.command](args)
-    except (NTriplesParseError, SnapshotError) as error:
-        where = f"{error.path}: " if error.path else ""
+    except (
+        NTriplesParseError,
+        TurtleParseError,
+        SnapshotError,
+        ChangeLogError,
+        CheckpointError,
+    ) as error:
+        path = getattr(error, "path", None)
+        where = f"{path}: " if path else ""
         print(f"rdfind: error: {where}{error}", file=sys.stderr)
         return 2
 

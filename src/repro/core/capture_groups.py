@@ -164,13 +164,6 @@ def create_capture_groups(
             _merge_sets,
             name="cg/group-by-value",
         )
-        planner = getattr(env, "planner", None)
-        if planner is not None:
-            planner.annotate(
-                env.metrics,
-                "cg/group-by-value",
-                planner.plan_kernel("cg/group-by-value", triples._total_records()),
-            )
     else:
         evidences = triples.flat_map(
             _EvidenceEmitter(scope, frequent), name="cg/evidences"

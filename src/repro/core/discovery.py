@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.capture_groups import create_capture_groups
 from repro.core.cind import (
@@ -54,11 +54,11 @@ from repro.dataflow.checkpoint import (
     fingerprint_fields,
 )
 from repro.dataflow.engine import ExecutionEnvironment, record_cells
-from repro.dataflow.planner import PLANNER_MODES, StagePlanner
 from repro.dataflow.shuffle import SHUFFLE_MODES
 from repro.dataflow.executors import EXECUTOR_NAMES
 from repro.dataflow.faults import CRASH_MOMENTS, FaultPlan, RetryPolicy
 from repro.dataflow.gcpause import gc_paused
+from repro.dataflow.kernels import batch_dataset
 from repro.dataflow.metrics import JobMetrics
 from repro.rdf.model import Dataset, EncodedDataset, TermDictionary
 
@@ -177,16 +177,13 @@ class RDFindConfig:
         task becomes a retryable transient fault instead of hanging the
         job.  Off by default; ignored by ``serial``.
         ``RDFIND_TASK_TIMEOUT_SECONDS`` supplies the default.
-    planner:
-        Cost-based stage planning: ``"off"`` (default) always runs the
-        record-at-a-time/driver-columnar defaults; ``"static"`` always
-        picks the vectorized batch kernels; ``"adaptive"`` chooses per
-        stage from input sizes and calibrated per-stage costs (kernel vs
-        record path, combiner on/off, inline vs spill shuffle, batch
-        count).  Every choice is byte-identical on the wire — the
-        planner only trades wall-clock.  Decisions are stamped into the
-        stage metrics (``summary()`` shows what was picked and why).
-        ``RDFIND_PLANNER`` supplies the default.
+
+    Execution paths are not configurable.  Encoded input runs the
+    capture-group batch kernel, the shared-reference candidate merge and
+    the fused capture-support count; a record-count ``memory_budget``
+    keeps the record-at-a-time operators instead, because the simulated
+    OOM failures are defined against their state shape.  Both paths
+    produce byte-identical output.
     """
 
     support_threshold: int = 25
@@ -267,9 +264,8 @@ class RDFindConfig:
             else None
         )
     )
-    planner: str = field(
-        default_factory=lambda: os.environ.get("RDFIND_PLANNER", "off")
-    )
+    #: Not a setting: external config stamps still read this attribute.
+    planner: ClassVar[str] = "kernels"
 
     def __post_init__(self) -> None:
         if self.support_threshold < 1:
@@ -328,10 +324,6 @@ class RDFindConfig:
         if self.task_timeout_seconds is not None and self.task_timeout_seconds <= 0:
             raise ValueError(
                 f"task_timeout_seconds must be > 0, got {self.task_timeout_seconds}"
-            )
-        if self.planner not in PLANNER_MODES:
-            raise ValueError(
-                f"planner must be one of {PLANNER_MODES}, got {self.planner!r}"
             )
 
     def effective_fault_plan(self) -> Optional[FaultPlan]:
@@ -528,20 +520,6 @@ class RDFind:
             task_timeout_seconds=config.task_timeout_seconds,
             metrics=metrics,
         )
-        if config.planner != "off":
-            # The planner only trades wall-clock: every path it may pick
-            # is byte-identical to the default, so it is deliberately NOT
-            # part of the checkpoint fingerprint.  Kernels are disabled
-            # under a record-count memory budget — the record path is the
-            # oracle those budget semantics are defined against.
-            env.planner = StagePlanner(
-                config.planner,
-                parallelism=env.parallelism,
-                env_shuffle=config.shuffle,
-                memory_budget_bytes=config.memory_budget_bytes,
-                allow_kernels=config.memory_budget is None,
-            )
-            env.metrics.planner = config.planner
         manager: Optional[CheckpointManager] = None
         try:
             if config.checkpoint != "off":
@@ -590,30 +568,18 @@ class RDFind:
 
             def compute_groups():
                 batches = None
-                plan = None
-                planner = env.planner
-                if planner is not None and use_columns:
-                    plan = planner.plan_kernel("cg/group-by-value", len(encoded))
-                    if plan.use_kernel:
-                        from repro.dataflow.kernels import batch_dataset
-
-                        # Pinned to `parallelism` batches: batch i is
-                        # partition i of the triples dataset, so the
-                        # kernel's emission order is the record path's.
-                        batches = batch_dataset(env, encoded, name="cg/batches")
-                groups = create_capture_groups(
+                if use_columns and not env.record_path:
+                    # One batch per partition: batch i is partition i of
+                    # the triples dataset, so the kernel's emission order
+                    # is the record path's.
+                    batches = batch_dataset(env, encoded, name="cg/batches")
+                return create_capture_groups(
                     env,
                     triples,
                     scope=config.scope,
                     frequent=frequent,
                     batches=batches,
                 )
-                if plan is not None and batches is None:
-                    # The kernel path stamps its decision inside
-                    # create_capture_groups; record the "stay on the
-                    # record path" verdict too, so summaries show why.
-                    planner.annotate(env.metrics, "cg/group-by-value", plan)
-                return groups
 
             def compute_extraction():
                 # Nesting the cg boundary inside the ex compute means a
@@ -671,9 +637,8 @@ def checkpoint_fingerprint(config: RDFindConfig, encoded: EncodedDataset) -> str
     variant flags, bloom geometry, partitioning, storage layout, the
     executor backend, and the task-fault seed/rates.  Deliberately
     excluded: driver crash points (the resume launch legitimately drops
-    ``--crash-point``), retry/backoff knobs, the spill plane, and the
-    stage planner — none of them change any boundary's value (every
-    planner path is byte-identical to the default).
+    ``--crash-point``), retry/backoff knobs and the spill plane — none of
+    them change any boundary's value.
     """
     plan = config.effective_fault_plan()
     injects_task_faults = plan is not None and (

@@ -154,24 +154,16 @@ def extract_broad_cinds(
     # dependent capture seen so far) is what the memory budget prices —
     # exactly the footprint that kills RDFind-DE on dominant groups.
     #
-    # When the stage planner picks the vectorized path, non-dominant
-    # groups emit the group frozenset itself as the initial reference set
-    # (shared, not copied per dependent — the per-group difference() loop
-    # is quadratic in group size) and a materialize step removes each
-    # dependent from its own final set, restoring the oracle's values
-    # exactly (see _materialize_shared_refs).
-    planner = env.planner
-    kernel_plan = None
-    if planner is not None and planner.active:
-        kernel_plan = planner.plan_kernel(
-            "ex/merge-candidates", stats.groups_after_pruning or stats.groups_total
-        )
-    if kernel_plan is not None and kernel_plan.use_kernel:
-        # No state pricing on this path: kernels only run without a
-        # record-count budget, and per-dependent pricing would bill the
-        # shared group frozenset once per dependent — the very copy the
-        # emitter avoids.  peak_state_cost degrades to the dependent
-        # count here.
+    # Off the record path, non-dominant groups emit the group frozenset
+    # itself as the initial reference set (shared, not copied per
+    # dependent — the per-group difference() loop is quadratic in group
+    # size) and a materialize step removes each dependent from its own
+    # final set, restoring the record path's values exactly (see
+    # _materialize_shared_refs).  There is no state pricing on this path:
+    # per-dependent pricing would bill the shared group frozenset once
+    # per dependent — the very copy the emitter avoids — so
+    # peak_state_cost degrades to the dependent count here.
+    if not env.record_path:
         merged = groups.flat_map_reduce_by_key(
             _SharedRefsCandidateEmitter(config, average_load),
             _merge_candidate_values,
@@ -184,8 +176,6 @@ def extract_broad_cinds(
             state_cost_fn=_candidate_state_cost,
             name="ex/merge-candidates",
         )
-    if kernel_plan is not None:
-        planner.annotate(env.metrics, "ex/merge-candidates", kernel_plan)
     stats.max_partition_ref_cells = (
         env.metrics.stage_by_name("ex/merge-candidates").peak_state_cost
     )
@@ -266,18 +256,12 @@ def _prune_capture_support(
     config: ExtractionConfig,
     stats: ExtractionStats,
 ) -> DataSet:
-    # The planner may fuse the counter flat_map into the keyed reduction:
-    # the per-capture (capture, 1) records are folded into the combiner as
+    # The counter flat_map is fused into the keyed reduction: the
+    # per-capture (capture, 1) records are folded into the combiner as
     # they are produced instead of being materialized first.  The fused
-    # combiner sees the same pairs in the same order, so the aggregated
-    # supports are byte-identical.
-    planner = getattr(env, "planner", None)
-    fuse_plan = None
-    if planner is not None and planner.active:
-        fuse_plan = planner.plan_kernel(
-            "ex/capture-support", groups._total_records()
-        )
-    if fuse_plan is not None and fuse_plan.use_kernel:
+    # combiner sees the same pairs in the same order as the record chain,
+    # so the aggregated supports are byte-identical.
+    if not env.record_path:
         supports = groups.flat_map_reduce_by_key(
             _emit_capture_counters,
             operator.add,
@@ -291,10 +275,7 @@ def _prune_capture_support(
             value_fn=pair_value,
             reduce_fn=operator.add,
             name="ex/capture-support",
-            order_insensitive=True,
         )
-    if fuse_plan is not None:
-        planner.annotate(env.metrics, "ex/capture-support", fuse_plan)
     stats.captures_total = supports.count()
     prunable = frozenset(
         supports.filter(

@@ -179,7 +179,7 @@ def _columnar_unary_counts(
     stage.records_in = [len(columns) * len(scope.condition_attrs)]
     stage.records_out = [len(counts)]
     stage.wall_seconds = elapsed
-    stage.partition_seconds = [elapsed / env.parallelism] * env.parallelism
+    stage.partition_seconds = [elapsed]  # serial driver scan
     # The dataflow path's combiners hold one counter per distinct
     # condition; charge the same state to keep budget semantics honest.
     stage.peak_state_cost = distinct
@@ -234,82 +234,8 @@ def _columnar_binary_counts(
     stage.records_in = [records_in]
     stage.records_out = [len(counts)]
     stage.wall_seconds = elapsed
-    stage.partition_seconds = [elapsed / env.parallelism] * env.parallelism
+    stage.partition_seconds = [elapsed]  # serial driver scan
     stage.peak_state_cost = distinct
-    return counts
-
-
-def _last_stage(env: ExecutionEnvironment, name: str):
-    """Most recent stage with ``name`` (the one the planner just shaped)."""
-    for stage in reversed(env.metrics.stages):
-        if stage.name == name:
-            return stage
-    return None
-
-
-def _plan_unary_counts(
-    env: ExecutionEnvironment,
-    columns: EncodedDataset,
-    scope: ConditionScope,
-    h: int,
-) -> Dict[UnaryCondition, int]:
-    """Columnar counting with planner dispatch (steps 1-2).
-
-    When a stage planner is attached and picks the batch kernel, the scan
-    runs as a ``reduce_partitions`` over column batches on the executor
-    (real cores under the process backend); otherwise the single-threaded
-    driver scan runs.  Both produce the same counts, so downstream output
-    is byte-identical either way — the planner only trades wall-clock.
-    """
-    planner = getattr(env, "planner", None)
-    if planner is None or not planner.active:
-        return _columnar_unary_counts(env, columns, scope, h)
-    records = len(columns) * len(scope.condition_attrs)
-    plan = planner.plan_kernel("fc/unary-columnar", records)
-    if plan.use_kernel:
-        from repro.dataflow.kernels import batch_dataset, unary_counts_kernel
-
-        split = planner.plan_partitions("fc/unary-columnar", records)
-        batches = batch_dataset(
-            env, columns, split.partitions, name="fc/unary-batches"
-        )
-        counts = unary_counts_kernel(env, batches, scope, h)
-    else:
-        counts = _columnar_unary_counts(env, columns, scope, h)
-    planner.annotate(env.metrics, "fc/unary-columnar", plan)
-    stage = _last_stage(env, "fc/unary-columnar")
-    if stage is not None:
-        planner.observe(stage)
-    return counts
-
-
-def _plan_binary_counts(
-    env: ExecutionEnvironment,
-    columns: EncodedDataset,
-    scope: ConditionScope,
-    unary_bloom: BloomFilter,
-    h: int,
-) -> Dict[BinaryCondition, int]:
-    """Columnar Algorithm 1 with planner dispatch (steps 6-7)."""
-    planner = getattr(env, "planner", None)
-    if planner is None or not planner.active:
-        return _columnar_binary_counts(env, columns, scope, unary_bloom, h)
-    records = len(columns) * len(scope.condition_attrs)
-    plan = planner.plan_kernel("fc/binary-columnar", records)
-    if plan.use_kernel:
-        from repro.dataflow.kernels import batch_dataset, binary_counts_kernel
-
-        split = planner.plan_partitions("fc/binary-columnar", records)
-        batches = batch_dataset(
-            env, columns, split.partitions, name="fc/binary-batches"
-        )
-        counts = binary_counts_kernel(env, batches, scope, unary_bloom, h)
-    else:
-        counts = _columnar_binary_counts(env, columns, scope, unary_bloom, h)
-    planner.annotate(env.metrics, "fc/binary-columnar", plan)
-    stage = _last_stage(env, "fc/binary-columnar")
-    if stage is not None:
-        planner.observe(stage)
     return counts
 
 
@@ -348,7 +274,6 @@ def _dataflow_unary_counts(
         value_fn=pair_value,
         reduce_fn=operator.add,
         name="fc/unary-aggregate",
-        order_insensitive=True,
     )
     frequent_unary = unary_counters.filter(
         partial(_count_at_least, h), name="fc/unary-filter"
@@ -372,7 +297,6 @@ def _dataflow_binary_counts(
         value_fn=pair_value,
         reduce_fn=operator.add,
         name="fc/binary-aggregate",
-        order_insensitive=True,
     )
     frequent_binary = binary_counters.filter(
         partial(_count_at_least, h), name="fc/binary-filter"
@@ -392,7 +316,7 @@ def _unary_counts_only(
 ) -> Dict[UnaryCondition, int]:
     """The fc/unary checkpoint boundary's value: just the counts dict."""
     if columns is not None:
-        return _plan_unary_counts(env, columns, scope, h)
+        return _columnar_unary_counts(env, columns, scope, h)
     return _dataflow_unary_counts(env, triples, scope, h)[0]
 
 
@@ -406,7 +330,7 @@ def _binary_counts_only(
 ) -> Dict[BinaryCondition, int]:
     """The fc/binary checkpoint boundary's value: just the counts dict."""
     if columns is not None:
-        return _plan_binary_counts(env, columns, scope, unary_bloom, h)
+        return _columnar_binary_counts(env, columns, scope, unary_bloom, h)
     return _dataflow_binary_counts(env, triples, scope, unary_bloom, h)[0]
 
 
@@ -456,23 +380,20 @@ def detect_frequent_conditions(
         ckpt = None
 
     # Steps 1-2: frequent unary conditions with early aggregation.
-    if ckpt is not None:
-        unary_counts: Dict[UnaryCondition, int] = ckpt.step(
-            "fc/unary",
-            "stage",
-            partial(_unary_counts_only, env, triples, scope, h, columns),
-        )
-        frequent_unary = env.from_collection(
-            unary_counts.items(), name="fc/unary-frequent"
-        )
-    elif columns is not None:
-        unary_counts = _plan_unary_counts(env, columns, scope, h)
-        frequent_unary = env.from_collection(
-            unary_counts.items(), name="fc/unary-frequent"
-        )
-    else:
+    unary_counts: Dict[UnaryCondition, int]
+    if ckpt is None and columns is None:
         unary_counts, frequent_unary = _dataflow_unary_counts(
             env, triples, scope, h
+        )
+    else:
+        count_unary = partial(_unary_counts_only, env, triples, scope, h, columns)
+        unary_counts = (
+            ckpt.step("fc/unary", "stage", count_unary)
+            if ckpt is not None
+            else count_unary()
+        )
+        frequent_unary = env.from_collection(
+            unary_counts.items(), name="fc/unary-frequent"
         )
 
     # Steps 3-5: unary Bloom filter, built distributedly and broadcast.
@@ -485,33 +406,21 @@ def detect_frequent_conditions(
     binary_counts: Dict[BinaryCondition, int] = {}
     if scope.allow_binary and len(scope.condition_attrs) >= 2:
         # Steps 6-7: frequent binary conditions (Algorithm 1).
-        if ckpt is not None:
-            binary_counts = ckpt.step(
-                "fc/binary",
-                "stage",
-                partial(
-                    _binary_counts_only,
-                    env,
-                    triples,
-                    scope,
-                    unary_bloom,
-                    h,
-                    columns,
-                ),
-            )
-            frequent_binary = env.from_collection(
-                binary_counts.items(), name="fc/binary-frequent"
-            )
-        elif columns is not None:
-            binary_counts = _plan_binary_counts(
-                env, columns, scope, unary_bloom, h
-            )
-            frequent_binary = env.from_collection(
-                binary_counts.items(), name="fc/binary-frequent"
-            )
-        else:
+        if ckpt is None and columns is None:
             binary_counts, frequent_binary = _dataflow_binary_counts(
                 env, triples, scope, unary_bloom, h
+            )
+        else:
+            count_binary = partial(
+                _binary_counts_only, env, triples, scope, unary_bloom, h, columns
+            )
+            binary_counts = (
+                ckpt.step("fc/binary", "stage", count_binary)
+                if ckpt is not None
+                else count_binary()
+            )
+            frequent_binary = env.from_collection(
+                binary_counts.items(), name="fc/binary-frequent"
             )
         # Steps 8-9: binary Bloom filter.
         binary_bloom = _build_bloom(

@@ -3,36 +3,30 @@
 A *batch kernel* is an operator that consumes one
 :class:`~repro.storage.columnar.TripleBatch` — a worker's slice of the
 encoded dataset kept as three parallel id ``array`` columns — instead of
-a stream of per-triple Python records.  The kernels fuse whole operator
-chains into one pass per partition (no intermediate record lists), and
-amortize the expensive per-record work (Bloom probes, capture
+a stream of per-triple Python records.  The kernel fuses a whole operator
+chain into one pass per partition (no intermediate record lists), and
+amortizes the expensive per-record work (Bloom probes, capture
 construction) behind per-id caches: a column has far fewer distinct ids
 than elements, so each probe/object is paid once per distinct id instead
 of once per triple.
 
-Byte-identity contract (enforced by ``tests/test_planner.py``): every
-kernel reproduces the record-at-a-time oracle exactly.
+Byte-identity contract (enforced by ``tests/test_kernels.py``): the
+capture-group kernel (:class:`EvidenceBatchKernel`) yields
+``(value, {capture})`` pairs in exactly the order the record path's
+``flat_map`` emits per-triple evidences — batch ``i`` holds precisely
+partition ``i``'s triples in partition order
+(:func:`~repro.storage.columnar.build_triple_batches`), so the fused
+combiner builds the identical aggregation dict and the shuffle routes
+identical buckets.
 
-* The frequent-condition counting kernels produce the same *content* as
-  the driver columnar scans in :mod:`repro.core.frequent_conditions`
-  (count dicts feed order-independent consumers: Bloom unions, sorted AR
-  lists, sorted final output).
-* The capture-group kernel (:class:`EvidenceBatchKernel`) yields
-  ``(value, {capture})`` pairs in exactly the order the record path's
-  ``flat_map`` emits per-triple evidences — batch ``i`` holds precisely
-  partition ``i``'s triples in partition order
-  (:func:`~repro.storage.columnar.build_triple_batches`), so the fused
-  combiner builds the identical aggregation dict and the shuffle routes
-  identical buckets.
-
-Everything here is module-level (and picklable), so the kernels run
+Everything here is module-level (and picklable), so the kernel runs
 unchanged on the ``serial`` and ``process`` executor backends.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+import time
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.core.cind import Capture
 from repro.core.conditions import (
@@ -43,12 +37,7 @@ from repro.core.conditions import (
 from repro.dataflow.engine import DataSet, ExecutionEnvironment
 from repro.storage.columnar import EncodedDataset, TripleBatch, build_triple_batches
 
-__all__ = [
-    "EvidenceBatchKernel",
-    "batch_dataset",
-    "unary_counts_kernel",
-    "binary_counts_kernel",
-]
+__all__ = ["EvidenceBatchKernel", "batch_dataset"]
 
 
 def batch_dataset(
@@ -62,151 +51,26 @@ def batch_dataset(
 
     With ``batch_count == parallelism`` (the default) batch ``i`` *is*
     partition ``i`` of ``from_collection(columns)`` — the layout the
-    order-sensitive kernels require.  Larger counts (the planner's skew
-    split for the order-insensitive counting kernels) round-robin extra
-    batches onto the workers.  No source stage is recorded: the batches
-    are views of the already-accounted encoded dataset.
+    order-sensitive capture-group kernel requires.  Larger counts
+    round-robin extra batches onto the workers.  Slicing the columns is
+    serial driver work, recorded as a one-partition stage named ``name``.
     """
     parallelism = env.parallelism
     count = batch_count if batch_count is not None else parallelism
+    start = time.perf_counter()
     batches = build_triple_batches(columns, count)
     partitions: List[List[TripleBatch]] = [[] for _ in range(parallelism)]
     sizes = [0] * parallelism
     for index, batch in enumerate(batches):
         partitions[index % parallelism].append(batch)
         sizes[index % parallelism] += len(batch)
+    elapsed = time.perf_counter() - start
+    stage = env.metrics.new_stage(name)
+    stage.wall_seconds = elapsed
+    stage.partition_seconds = [elapsed]
+    stage.records_in = [len(columns)]
+    stage.records_out = [len(columns)]
     return DataSet(env, partitions, name=name, logical_sizes=sizes)
-
-
-# ----------------------------------------------------------------------
-# frequent-condition counting kernels (FCDetector steps 1-2 and 6-7)
-# ----------------------------------------------------------------------
-
-
-class _UnaryBatchCounter:
-    """Per-partition unary condition counting over id columns."""
-
-    __slots__ = ("attrs",)
-
-    def __init__(self, attrs: Tuple) -> None:
-        self.attrs = attrs
-
-    def __call__(self, partition: List[TripleBatch]) -> Dict:
-        counters: Dict = {attr: Counter() for attr in self.attrs}
-        for batch in partition:
-            for attr in self.attrs:
-                # Counter.update over an array iterates at C speed.
-                counters[attr].update(batch.column(attr))
-        return counters
-
-
-def _merge_attr_counters(a: Dict, b: Dict) -> Dict:
-    for attr, counter in b.items():
-        a[attr].update(counter)
-    return a
-
-
-def unary_counts_kernel(
-    env: ExecutionEnvironment,
-    batches: DataSet,
-    scope: ConditionScope,
-    h: int,
-) -> Dict[UnaryCondition, int]:
-    """Batch-kernel version of the unary counting scan (steps 1-2).
-
-    Runs the per-partition counting on the executor (real cores under the
-    process backend) and merges the partial per-attribute counters on the
-    driver; produces the same counts dict as
-    ``_columnar_unary_counts`` / the dataflow path.
-    """
-    attrs = tuple(sorted(scope.condition_attrs))
-    merged = batches.reduce_partitions(
-        _UnaryBatchCounter(attrs),
-        _merge_attr_counters,
-        name="fc/unary-columnar",
-    )
-    counts: Dict[UnaryCondition, int] = {}
-    for attr in attrs:
-        for value, count in merged[attr].items():
-            if count >= h:
-                counts[UnaryCondition(attr, value)] = count
-    return counts
-
-
-class _BinaryBatchCounter:
-    """Per-partition Algorithm 1 over id columns, probes cached per id."""
-
-    __slots__ = ("attrs", "pairs", "unary_bloom")
-
-    def __init__(self, attrs: Tuple, unary_bloom) -> None:
-        self.attrs = attrs
-        pairs = []
-        for index, attr1 in enumerate(attrs):
-            for attr2 in attrs[index + 1 :]:
-                pairs.append((attr1, attr2))
-        self.pairs = tuple(pairs)
-        self.unary_bloom = unary_bloom
-
-    def __call__(self, partition: List[TripleBatch]) -> Dict:
-        unary_bloom = self.unary_bloom
-        probe_caches: Dict = {attr: {} for attr in self.attrs}
-        counters: Dict = {pair: Counter() for pair in self.pairs}
-        for batch in partition:
-            for attr1, attr2 in self.pairs:
-                cache1 = probe_caches[attr1]
-                cache2 = probe_caches[attr2]
-                pair_counter = counters[(attr1, attr2)]
-                for v1, v2 in zip(batch.column(attr1), batch.column(attr2)):
-                    hit1 = cache1.get(v1)
-                    if hit1 is None:
-                        hit1 = cache1[v1] = (
-                            unary_bloom is None
-                            or unary_bloom.contains_int_key(
-                                UnaryCondition(attr1, v1)
-                            )
-                        )
-                    if not hit1:
-                        continue
-                    hit2 = cache2.get(v2)
-                    if hit2 is None:
-                        hit2 = cache2[v2] = (
-                            unary_bloom is None
-                            or unary_bloom.contains_int_key(
-                                UnaryCondition(attr2, v2)
-                            )
-                        )
-                    if hit2:
-                        pair_counter[(v1, v2)] += 1
-        return counters
-
-
-def _merge_pair_counters(a: Dict, b: Dict) -> Dict:
-    for pair, counter in b.items():
-        a[pair].update(counter)
-    return a
-
-
-def binary_counts_kernel(
-    env: ExecutionEnvironment,
-    batches: DataSet,
-    scope: ConditionScope,
-    unary_bloom,
-    h: int,
-) -> Dict[BinaryCondition, int]:
-    """Batch-kernel version of Algorithm 1 (steps 6-7)."""
-    attrs = tuple(sorted(scope.condition_attrs))
-    merged = batches.reduce_partitions(
-        _BinaryBatchCounter(attrs, unary_bloom),
-        _merge_pair_counters,
-        name="fc/binary-columnar",
-    )
-    counts: Dict[BinaryCondition, int] = {}
-    for index, attr1 in enumerate(attrs):
-        for attr2 in attrs[index + 1 :]:
-            for (v1, v2), count in merged[(attr1, attr2)].items():
-                if count >= h:
-                    counts[BinaryCondition(attr1, v1, attr2, v2)] = count
-    return counts
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,12 @@ XSD_BOOLEAN = "http://www.w3.org/2001/XMLSchema#boolean"
 
 
 class TurtleParseError(ValueError):
-    """Raised on malformed Turtle, with position information."""
+    """Raised on malformed Turtle, with position information.
+
+    ``path`` names the file when the error left :func:`parse_turtle_file`.
+    """
+
+    path: Optional[str] = None
 
     def __init__(self, message: str, position: int, text: str) -> None:
         line = text.count("\n", 0, position) + 1
@@ -254,4 +259,9 @@ def parse_turtle(text: str) -> Iterator[Triple]:
 def parse_turtle_file(path: Union[str, os.PathLike], name: str = "") -> Dataset:
     """Parse a Turtle file into a :class:`Dataset`."""
     with open(path, "r", encoding="utf-8") as handle:
-        return Dataset(parse_turtle(handle.read()), name=name or str(path))
+        text = handle.read()
+    try:
+        return Dataset(parse_turtle(text), name=name or str(path))
+    except TurtleParseError as error:
+        error.path = str(path)
+        raise

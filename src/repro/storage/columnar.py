@@ -91,9 +91,9 @@ class TripleBatch:
 
         Batches spend most of their life in compressed form (the packed
         columns of :mod:`repro.storage.compressed`, the framed spill
-        runs), so the spill budget and the planner price them at what the
-        ids pack to — per-column maximum bit width — rather than at the
-        mutable arrays' fixed 4/8-byte slots."""
+        runs), so the spill budget prices them at what the ids pack to —
+        per-column maximum bit width — rather than at the mutable arrays'
+        fixed 4/8-byte slots."""
         return (
             packed_column_nbytes(self.s)
             + packed_column_nbytes(self.p)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core.framing import FRAME_HEADER
 
 
 def run(capsys, *argv):
@@ -31,16 +32,8 @@ class TestCli:
                 capsys, "discover", "dataset:Countries", "--scale", "0.1",
                 "-s", "5", "-n", "10", "--storage", storage,
             )
-            # drop the header line, whose timings differ between runs,
-            # and the planner summary line: with RDFIND_PLANNER set, the
-            # stage-decision *count* differs between storage layouts
-            # (encoded exposes kernel-capable stages that strings lacks)
-            # even though the discovered output is identical.
-            outputs[storage] = [
-                line
-                for line in out.splitlines()[1:]
-                if not line.startswith("planner:")
-            ]
+            # drop the header line, whose timings differ between runs
+            outputs[storage] = out.splitlines()[1:]
         assert outputs["encoded"] == outputs["strings"]
         assert outputs["encoded"]
 
@@ -161,3 +154,51 @@ class TestMalformedInput:
         path = tmp_path / "absent.snap"
         assert main(["snapshot", "info", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"rdfind: error: {path}: ")
+
+    def test_malformed_turtle(self, capsys, tmp_path):
+        path = tmp_path / "bad.ttl"
+        path.write_text(
+            "@prefix ex: <http://example.org/> .\nex:a ex:b .\n", encoding="utf-8"
+        )
+        assert main(["discover", str(path), "-s", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"rdfind: error: {path}: ")
+        assert "(line 2)" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_corrupt_changelog_via_stream(self, capsys, tmp_path):
+        data = tmp_path / "initial.nt"
+        data.write_text("<a> <b> <c> .\n<a> <b> <d> .\n", encoding="utf-8")
+        state = tmp_path / "state"
+        assert main(
+            ["stream", str(state), "-s", "1", "--init", str(data), "--no-fsync"]
+        ) == 0
+        (segment,) = (state / "changelog").glob("*.open")
+        raw = bytearray(segment.read_bytes())
+        raw[FRAME_HEADER.size + 2] ^= 0xFF  # inside record 1's payload
+        segment.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["stream", str(state), "-s", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"rdfind: error: {segment}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_resume_against_other_config(self, capsys, tmp_path, monkeypatch):
+        # main() publishes the checkpoint flags as RDFIND_* defaults;
+        # registering the variables first makes monkeypatch restore them.
+        monkeypatch.setenv("RDFIND_CHECKPOINT", "off")
+        monkeypatch.setenv("RDFIND_CHECKPOINT_DIR", "")
+        monkeypatch.setenv("RDFIND_RESUME", "")
+        base = ["discover", "dataset:Countries", "--scale", "0.1", "-n", "0"]
+        ckpt = ["--checkpoint", "phase", "--checkpoint-dir", str(tmp_path / "ckpt")]
+        assert main([*base, "-s", "5", *ckpt]) == 0
+        capsys.readouterr()
+        assert main([*base, "-s", "6", *ckpt, "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "rdfind: error: checkpoint manifest belongs to a different job"
+        )
+        assert captured.err.count("\n") == 1

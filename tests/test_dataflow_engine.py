@@ -377,77 +377,6 @@ class TestBatchDatasets:
         assert sorted(flattened.collect()) == [1, 2, 3, 4, 5]
 
 
-class TestPlannerIntegration:
-    """Engine-level behaviour of an attached StagePlanner."""
-
-    def _warmed_planner(self, stage_name, ratio_out=1000, **kwargs):
-        from repro.dataflow.metrics import StageMetrics
-        from repro.dataflow.planner import StagePlanner
-
-        planner = StagePlanner("adaptive", parallelism=3, **kwargs)
-        planner.observe(
-            StageMetrics(
-                name=stage_name,
-                partition_seconds=[0.1],
-                records_in=[1000],
-                records_out=[ratio_out],
-            )
-        )
-        return planner
-
-    def _count(self, environment, values, order_insensitive):
-        return (
-            environment.from_collection(values)
-            .reduce_by_key(
-                key_fn=lambda x: x,
-                value_fn=lambda _x: 1,
-                reduce_fn=lambda a, b: a + b,
-                name="count",
-                order_insensitive=order_insensitive,
-            )
-            .collect()
-        )
-
-    def test_combine_off_is_output_identical(self):
-        values = [x % 40 for x in range(97)]
-        baseline = self._count(env(3), values, order_insensitive=True)
-        planned = env(3)
-        planned.planner = self._warmed_planner("count")  # ratio 1.0 > 0.95
-        result = self._count(planned, values, order_insensitive=True)
-        assert result == baseline
-        stage = planned.metrics.stage_by_name("count")
-        assert stage.planner_choice == "combine-off"
-
-    def test_order_sensitive_reduction_keeps_combiner(self):
-        planned = env(3)
-        planned.planner = self._warmed_planner("count")
-        self._count(planned, list(range(20)), order_insensitive=False)
-        stage = planned.metrics.stage_by_name("count")
-        assert stage.planner_choice == ""  # no decision to stamp
-
-    def test_shuffle_escalation_is_output_identical(self):
-        values = [x % 10 for x in range(200)]
-        baseline = self._count(env(3), values, order_insensitive=True)
-        planned = env(3)
-        # Tiny byte budget: the projection always exceeds it.
-        planned.planner = self._warmed_planner(
-            "count", ratio_out=10, memory_budget_bytes=64
-        )
-        result = self._count(planned, values, order_insensitive=True)
-        assert result == baseline
-        stage = planned.metrics.stage_by_name("count")
-        assert "spill" in stage.planner_choice
-        assert stage.spilled_runs >= 0  # ran on the spill plane
-
-    def test_record_memory_budget_bypasses_planner(self):
-        # The record-count OOM simulation must see the unplanned paths.
-        planned = env(3, memory_budget=10_000)
-        planned.planner = self._warmed_planner("count")
-        self._count(planned, list(range(20)), order_insensitive=True)
-        stage = planned.metrics.stage_by_name("count")
-        assert stage.planner_choice == ""
-
-
 class TestFusedFastPath:
     """The unpriced fused-combine loop must match the priced one."""
 

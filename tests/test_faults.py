@@ -317,7 +317,7 @@ class TestFaultExceptionPickling:
 #: conditions, capture groups, extraction) plus one worker crash.
 PHASE_FAULTS = (
     ("fc/unary-frequent", 0, TRANSIENT),
-    ("cg/evidences", 0, TRANSIENT),
+    ("cg/expand", 0, TRANSIENT),
     ("ex/merge-candidates", 0, TRANSIENT),
     ("cg/group-by-value", 1, CRASH),
 )

@@ -170,3 +170,26 @@ class TestStageTimes:
             stage.name for stage in timed
         }
         assert [stage.name for stage in timed if stage.wall_seconds <= 0] == []
+
+    def test_driver_stages_are_not_split_across_workers(self):
+        """Serial driver work counts as one partition: no simulated speed-up."""
+        from repro.core.discovery import RDFind, RDFindConfig
+
+        config = RDFindConfig(support_threshold=2, parallelism=4)
+        result = RDFind(config).discover(random_rdf(42, n_triples=400).encode())
+        driver_stages = {
+            "source/triples",
+            "fc/unary-columnar",
+            "fc/unary-frequent",
+            "fc/binary-columnar",
+            "fc/binary-frequent",
+            "cg/batches",
+        }
+        stages = {
+            stage.name: stage
+            for stage in result.metrics.stages
+            if stage.name in driver_stages
+        }
+        assert set(stages) == driver_stages
+        for stage in stages.values():
+            assert stage.parallel_seconds == stage.cpu_seconds, stage.name
